@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.mia import _ap_map, greedy_mia, mia_marginal, mia_sigma, mioa
+# ``mioa`` is not called here; it stays importable as ``keyword_im.mioa``
+# because the perfbench tracer tests rebind and call it there.
+from repro.core.mia import greedy_mia, mia_sigma, mioa  # noqa: F401
 from repro.core.model import TopicAwareInfluenceModel
 from repro.influence.bounds import Precomputed, best_upper_bounds
 from repro.influence.celf import celf
@@ -99,37 +101,6 @@ def naive_mia_im(model: TopicAwareInfluenceModel, keywords, k: int) -> IMAnswer:
     return _finish(model, "naive-mia", keywords, gamma, seeds, total, n_evals)
 
 
-def _mia_celf(model, p_eff, k, *, upper_bounds, epsilon=0.0, warm=None):
-    g = model.graph
-    trees: dict = {}
-
-    def tree_of(u):
-        if u not in trees:
-            trees[u] = mioa(g, p_eff, u, model.theta)
-        return trees[u]
-
-    def marginal(u, seeds, ap_state):
-        return mia_marginal(g, p_eff, u, ap_state, model.theta, tree=tree_of(u))
-
-    def ap_of(seeds):
-        # Reuse the trees CELF already built (every selected seed was
-        # exactly evaluated) instead of re-running Dijkstra each round.
-        one_minus: dict = {}
-        for s in seeds:
-            for v, (p, _) in tree_of(s).items():
-                one_minus[v] = one_minus.get(v, 1.0) * (1.0 - p)
-        return {v: 1.0 - om for v, om in one_minus.items()}
-
-    seeds, total, n_evals = celf(
-        range(g.n), marginal, k,
-        upper_bounds=upper_bounds,
-        state_update=ap_of,
-        epsilon=epsilon,
-        warm_start=warm,
-    )
-    return seeds, total, n_evals
-
-
 def best_effort_im(
     model: TopicAwareInfluenceModel, pre: Precomputed, keywords, k: int,
     *, lb_refine_top: int = 0, radius: int = 2,
@@ -139,7 +110,9 @@ def best_effort_im(
     ub = best_upper_bounds(
         model.graph, p_eff, pre, lb_refine_top=lb_refine_top, radius=radius
     )
-    seeds, total, n_evals = _mia_celf(model, p_eff, k, upper_bounds=ub)
+    seeds, total, n_evals = greedy_mia(
+        model.graph, p_eff, k, model.theta, upper_bounds=ub
+    )
     return _finish(model, "best-effort", keywords, gamma, seeds, total, n_evals)
 
 
@@ -153,7 +126,7 @@ def topic_sample_im(
     gamma, p_eff = model.query_probs(keywords)
     ub = best_upper_bounds(model.graph, p_eff, pre, lb_refine_top=lb_refine_top)
     warm = warm_start_candidates(index, gamma, m=m_nearest)[: 2 * k]
-    seeds, total, n_evals = _mia_celf(
-        model, p_eff, k, upper_bounds=ub, epsilon=epsilon, warm=warm
+    seeds, total, n_evals = greedy_mia(
+        model.graph, p_eff, k, model.theta, upper_bounds=ub, epsilon=epsilon, warm=warm
     )
     return _finish(model, "topic-sample", keywords, gamma, seeds, total, n_evals)

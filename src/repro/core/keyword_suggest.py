@@ -69,9 +69,9 @@ class _Sample:
     in_adj: dict           # dst -> list of stored-edge positions
 
 
-def _reverse_envelope(graph: LocalGraph, root: int, seed: int, sample_id: int) -> _Sample:
-    """Reverse BFS from ``root`` keeping edges with r_e ≤ pp_max(e)."""
-    p_max = graph.max_probs()
+def _reverse_envelope(graph: LocalGraph, p_max: np.ndarray, root: int,
+                      seed: int, sample_id: int) -> np.ndarray:
+    """Edge ids kept by a reverse BFS from ``root`` under r_e ≤ pp_max(e)."""
     found = {root}
     frontier = [root]
     kept: list = []
@@ -81,26 +81,28 @@ def _reverse_envelope(graph: LocalGraph, root: int, seed: int, sample_id: int) -
             eids = graph.in_edges(v)
             if len(eids) == 0:
                 continue
-            rs = edge_uniform(seed, sample_id, eids)
-            live = rs <= p_max[eids]
-            for e, r in zip(eids[live], rs[live]):
-                kept.append((int(e), float(r)))
+            live = eids[edge_uniform(seed, sample_id, eids) <= p_max[eids]]
+            kept.extend(live.tolist())
+            for e in live:
                 u = int(graph.e_src[e])
                 if u not in found:
                     found.add(u)
                     nxt.append(u)
         frontier = nxt
-    eids = np.asarray([e for e, _ in kept], dtype=np.int64)
-    r = np.asarray([x for _, x in kept], dtype=np.float64)
-    src = graph.e_src[eids] if len(eids) else np.empty(0, np.int64)
-    dst = graph.e_dst[eids] if len(eids) else np.empty(0, np.int64)
+    return np.asarray(kept, dtype=np.int64)
+
+
+def _sample(graph: LocalGraph, root: int, seed: int, sample_id: int, eids) -> _Sample:
+    """A monitor's stored subgraph from its kept edge ids; ``r_e`` is
+    stateless, so it is recomputed rather than stored or shipped."""
+    eids = np.asarray(eids, dtype=np.int64)
+    src, dst = graph.e_src[eids], graph.e_dst[eids]
     in_adj: dict = {}
-    for pos, d in enumerate(dst):
-        in_adj.setdefault(int(d), []).append(pos)
+    for pos, d in enumerate(dst.tolist()):
+        in_adj.setdefault(d, []).append(pos)
     return _Sample(
-        root=root, eids=eids, src=src, dst=dst, r=r,
-        probs=graph.probs[eids] if len(eids) else np.empty((0, graph.Z)),
-        nodes=frozenset(found), in_adj=in_adj,
+        root=root, eids=eids, src=src, dst=dst, r=edge_uniform(seed, sample_id, eids),
+        probs=graph.probs[eids], nodes=frozenset([root, *src.tolist()]), in_adj=in_adj,
     )
 
 
@@ -157,9 +159,10 @@ def build_influencer_index_local(
     graph: LocalGraph, *, R: int = 200, seed: int = 0
 ) -> InfluencerIndex:
     """Driver-side index build (tests / tiny graphs)."""
-    roots = _monitor_roots(graph.n, R, seed)
+    p_max = graph.max_probs()
     samples = [
-        _reverse_envelope(graph, int(root), seed, i) for i, root in enumerate(roots)
+        _sample(graph, int(root), seed, i, _reverse_envelope(graph, p_max, int(root), seed, i))
+        for i, root in enumerate(_monitor_roots(graph.n, R, seed))
     ]
     return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples)
 
@@ -168,53 +171,33 @@ def build_influencer_index_spark(
     spark: SparkSession, graph: LocalGraph, *, R: int = 200, seed: int = 0
 ) -> InfluencerIndex:
     """The offline Spark job: envelope subgraphs fanned out over sample
-    ids with ``mapInPandas``; workers emit (sample_id, root, eid) rows and
-    the driver reassembles — ``r_e`` is stateless, so nothing else needs
-    to be shipped. Identical index to the local build."""
+    ids with ``mapInPandas``; workers emit (sample_id, eid) rows and the
+    driver reassembles — ``r_e`` is stateless, so nothing else needs to
+    be shipped. Identical index to the local build."""
     roots = _monitor_roots(graph.n, R, seed)
-    g_args = (
-        graph.n, graph.Z, graph.e_src, graph.e_dst, graph.probs,
-        graph.out_ptr, graph.out_eid, graph.in_ptr, graph.in_eid,
-    )
+    p_max = graph.max_probs()
 
     def run(batches):
-        g = LocalGraph(*g_args)
         for pdf in batches:
-            out_sid, out_root, out_eid = [], [], []
-            for i in pdf["id"].to_numpy():
-                i = int(i)
-                s = _reverse_envelope(g, int(roots[i]), seed, i)
-                out_sid.extend([i] * max(len(s.eids), 1))
-                out_root.extend([s.root] * max(len(s.eids), 1))
-                out_eid.extend(s.eids.tolist() or [-1])
-            yield pd.DataFrame(
-                {"sample_id": out_sid, "root": out_root, "eid": out_eid}
-            )
+            sids, eids = [], []
+            for i in pdf["id"].tolist():
+                kept = _reverse_envelope(graph, p_max, int(roots[i]), seed, i)
+                sids.extend([i] * len(kept))
+                eids.extend(kept.tolist())
+            yield pd.DataFrame({"sample_id": sids, "eid": eids}, dtype=np.int64)
 
     rows = (
         spark.range(R)
         .repartition(min(R, 64))
-        .mapInPandas(run, schema="sample_id long, root long, eid long")
+        .mapInPandas(run, schema="sample_id long, eid long")
         .toPandas()
-        .sort_values(["sample_id", "eid"])
+        .sort_values("eid")
     )
-    samples = []
-    for i in range(R):
-        grp = rows[rows["sample_id"] == i]
-        root = int(roots[i])
-        eids = grp.loc[grp["eid"] >= 0, "eid"].to_numpy(dtype=np.int64)
-        r = edge_uniform(seed, i, eids) if len(eids) else np.empty(0)
-        src = graph.e_src[eids] if len(eids) else np.empty(0, np.int64)
-        dst = graph.e_dst[eids] if len(eids) else np.empty(0, np.int64)
-        in_adj: dict = {}
-        for pos, d in enumerate(dst):
-            in_adj.setdefault(int(d), []).append(pos)
-        nodes = frozenset({root} | set(src.tolist()) | set(dst.tolist()))
-        samples.append(_Sample(
-            root=root, eids=eids, src=src, dst=dst, r=r,
-            probs=graph.probs[eids] if len(eids) else np.empty((0, graph.Z)),
-            nodes=nodes, in_adj=in_adj,
-        ))
+    eids_of = dict(tuple(rows.groupby("sample_id")["eid"]))
+    samples = [
+        _sample(graph, int(root), seed, i, eids_of.get(i, []))
+        for i, root in enumerate(roots)
+    ]
     return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples)
 
 

@@ -26,7 +26,7 @@ from repro.core.keyword_suggest import (
     build_influencer_index_spark,
     suggest_keywords,
 )
-from repro.core.mia import extract_paths, miia, mioa, mia_sigma_single
+from repro.core.mia import extract_paths, greedy_mia, miia, mioa, mia_sigma_single
 from repro.core.model import TopicAwareInfluenceModel
 from repro.influence.bounds import (
     best_upper_bounds,
@@ -201,9 +201,7 @@ def table2_bounds(
             else:
                 full = np.minimum(pb_bounds(pre), nb_bounds(g, p_eff, pre))
             if full is not None:
-                from repro.core.keyword_im import _mia_celf
-
-                _, _, n_evals = _mia_celf(model, p_eff, k, upper_bounds=full)
+                _, _, n_evals = greedy_mia(g, p_eff, k, model.theta, upper_bounds=full)
                 pruned = 1.0 - n_evals / g.n
             else:
                 pruned = float("nan")

@@ -1,6 +1,5 @@
 """Graph substrate: construction of social-graph DataFrames from action
-logs, a collected CSR ``LocalGraph`` for the online engine, and distributed
-traversal primitives (BFS, max-probability path relaxation)."""
+logs and the collected CSR ``LocalGraph`` the online engine runs on."""
 
 from repro.graphlib.builder import (  # noqa: F401
     LocalGraph,
@@ -8,8 +7,4 @@ from repro.graphlib.builder import (  # noqa: F401
     edges_with_array_probs,
     graph_from_trials,
     local_graph_from_network,
-)
-from repro.graphlib.traversal import (  # noqa: F401
-    bfs_reachable,
-    max_prob_reach,
 )

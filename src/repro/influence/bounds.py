@@ -7,26 +7,26 @@ are implemented here, with validity proved under the MIA spread model
 
 * **PB** (precomputation-based): σ_γ(u) ≤ σ_max(u), the MIA spread on the
   query-independent max-prob graph — precomputed offline for every user
-  by the distributed θ-reachability job (or its local mirror).
+  with the online MIOA kernel, one tree per root, fanned out over root
+  ranges with ``mapInPandas`` (or looped on the driver).
 * **NB** (neighborhood-based): σ_γ(u) ≤ 1 + Σ_{v∈N_out(u)} pp_γ(u,v)·σ_max(v)
   — every max-prob path factors through a first hop. O(out-degree) per
   user, fully vectorized across all users.
 * **LB** (local-graph-based): exact MIA inside a radius-``r`` ball around
   ``u`` under the *query* probabilities, plus the boundary tail
-  Σ_{v at depth r} ap_γ(u,v)·(σ_max(v) − 1). Tightest, costs one small
-  truncated Dijkstra — used to refine the most promising candidates.
+  Σ_{v at depth r} ap_γ(u,v)·(σ_max(v) − 1). Tightest, costs one run of
+  the MIOA kernel capped at depth r — used to refine the most promising
+  candidates.
 """
 from dataclasses import dataclass
-from math import log
 
-import heapq
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.mia import mioa
+from repro.core.mia import _dijkstra, mioa
 from repro.graphlib.builder import LocalGraph
-from repro.graphlib.traversal import influence_region_stats, max_prob_reach
 
 
 @dataclass
@@ -39,42 +39,49 @@ class Precomputed:
     theta: float
 
 
+def _root_stats(graph: LocalGraph, p_max: np.ndarray, roots, theta: float) -> tuple:
+    """σ_max (sum of path probabilities) and size of each root's MIOA on
+    the max-prob graph: the per-root loop both precompute paths run."""
+    sigma = np.empty(len(roots))
+    size = np.empty(len(roots), dtype=np.int64)
+    for i, u in enumerate(roots):
+        tree = mioa(graph, p_max, int(u), theta)
+        sigma[i] = sum(p for p, _ in tree.values())
+        size[i] = len(tree)
+    return sigma, size
+
+
 def precompute_local(graph: LocalGraph, *, theta: float = 0.01) -> Precomputed:
-    """Driver-side mirror of the distributed precompute (small graphs,
-    tests): one truncated Dijkstra per root on pp_max."""
-    p_max = graph.max_probs()
-    sigma = np.zeros(graph.n)
-    size = np.zeros(graph.n, dtype=np.int64)
-    for u in range(graph.n):
-        tree = mioa(graph, p_max, u, theta)
-        sigma[u] = sum(p for p, _ in tree.values())
-        size[u] = len(tree)
+    """Driver-side precompute (small graphs, tests): one MIOA per root."""
+    sigma, size = _root_stats(graph, graph.max_probs(), range(graph.n), theta)
     return Precomputed(sigma_max=sigma, tree_size=size, theta=theta)
 
 
 def precompute_spark(
-    spark: SparkSession, graph: LocalGraph, *, theta: float = 0.01, max_iter: int = 30
+    spark: SparkSession, graph: LocalGraph, *, theta: float = 0.01
 ) -> Precomputed:
-    """The offline Spark job: all-roots max-prob reachability on the
-    max-prob graph, aggregated to per-root σ_max / tree size."""
-    import pandas as pd
+    """The offline Spark job: :func:`precompute_local`'s per-root loop
+    fanned out over root ranges with ``mapInPandas``, one range per
+    default-parallelism slot; identical output to the local build."""
+    p_max = graph.max_probs()
 
-    edges = spark.createDataFrame(
-        pd.DataFrame(
-            {"src": graph.e_src, "dst": graph.e_dst, "p": graph.max_probs()}
-        )
+    def run(batches):
+        for pdf in batches:
+            roots = pdf["id"].to_numpy()
+            sigma, size = _root_stats(graph, p_max, roots, theta)
+            yield pd.DataFrame({"root": roots, "sigma": sigma, "tree_size": size})
+
+    n_parts = max(1, min(graph.n, spark.sparkContext.defaultParallelism))
+    out = (
+        spark.range(graph.n, numPartitions=n_parts)
+        .mapInPandas(run, schema="root long, sigma double, tree_size long")
+        .toPandas()
+        .sort_values("root")
     )
-    all_roots = spark.createDataFrame(
-        pd.DataFrame({"root": np.arange(graph.n, dtype=np.int64)})
+    return Precomputed(
+        sigma_max=out["sigma"].to_numpy(), tree_size=out["tree_size"].to_numpy(),
+        theta=theta,
     )
-    reach = max_prob_reach(edges, all_roots, theta=theta, max_iter=max_iter)
-    stats = influence_region_stats(reach).toPandas()
-    sigma = np.ones(graph.n)          # isolated roots: just themselves
-    size = np.ones(graph.n, dtype=np.int64)
-    idx = stats["root"].to_numpy(dtype=np.int64)
-    sigma[idx] = stats["sigma"].to_numpy()
-    size[idx] = stats["tree_size"].to_numpy()
-    return Precomputed(sigma_max=sigma, tree_size=size, theta=theta)
 
 
 def pb_bounds(pre: Precomputed) -> np.ndarray:
@@ -102,32 +109,11 @@ def lb_bound(
 ) -> float:
     """Local-graph bound for one user: exact MIA in the radius-``r`` ball
     under the query probabilities + σ_max boundary tail."""
-    lim = -log(theta) if theta > 0 else float("inf")
-    dist = {u: (0.0, 0)}
-    done = set()
-    heap = [(0.0, u)]
-    while heap:
-        d, x = heapq.heappop(heap)
-        if x in done:
-            continue
-        done.add(x)
-        _, depth = dist[x]
-        if depth >= radius:
-            continue
-        for e in graph.out_edges(x):
-            p = p_eff[e]
-            if p <= 0.0:
-                continue
-            v = int(graph.e_dst[e])
-            nd = d - log(p)
-            if nd <= lim + 1e-12 and nd < dist.get(v, (float("inf"), 0))[0] - 1e-15:
-                dist[v] = (nd, depth + 1)
-                heapq.heappush(heap, (nd, v))
+    tree, depth = _dijkstra(graph, p_eff, u, theta, forward=True, max_depth=radius)
     total = 0.0
-    for v, (d, depth) in dist.items():
-        ap = float(np.exp(-d))
+    for v, (ap, _) in tree.items():
         total += ap
-        if depth == radius:
+        if depth[v] == radius:
             total += ap * max(pre.sigma_max[v] - 1.0, 0.0)
     return total
 

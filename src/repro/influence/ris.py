@@ -68,20 +68,15 @@ def rr_sets_spark(
 ) -> DataFrame:
     """Distributed RR-set generation: (set_id, node) rows, one group per
     sampled root — identical sets to :func:`rr_sets_local` (coupled)."""
-    g_args = (
-        graph.n, graph.Z, graph.e_src, graph.e_dst, graph.probs,
-        graph.out_ptr, graph.out_eid, graph.in_ptr, graph.in_eid,
-    )
     p_eff = np.asarray(p_eff, dtype=np.float64)
 
     def run(batches):
-        g = LocalGraph(*g_args)
         for pdf in batches:
             ids, nodes = [], []
             for i in pdf["id"].to_numpy():
                 rng = _rr_rng(seed, int(i))
-                root = int(rng.integers(0, g.n))
-                s = rr_set(g, p_eff, root, rng)
+                root = int(rng.integers(0, graph.n))
+                s = rr_set(graph, p_eff, root, rng)
                 ids.extend([int(i)] * len(s))
                 nodes.extend(sorted(s))
             yield pd.DataFrame({"set_id": ids, "node": nodes})

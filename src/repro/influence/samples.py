@@ -83,18 +83,13 @@ def build_topic_samples_spark(
     out with ``mapInPandas`` (graph closure-captured). Identical output to
     the local build — greedy-MIA is deterministic."""
     gammas = sample_gammas(graph.Z, n_random=n_random, seed=seed)
-    g_args = (
-        graph.n, graph.Z, graph.e_src, graph.e_dst, graph.probs,
-        graph.out_ptr, graph.out_eid, graph.in_ptr, graph.in_eid,
-    )
 
     def run(batches):
-        g = LocalGraph(*g_args)
         for pdf in batches:
             rows = []
             for i in pdf["id"].to_numpy():
                 gm = gammas[int(i)]
-                seeds, spread, _ = greedy_mia(g, g.effective_probs(gm), k, theta)
+                seeds, spread, _ = greedy_mia(graph, graph.effective_probs(gm), k, theta)
                 for rank, s in enumerate(seeds):
                     rows.append((int(i), rank, int(s), float(spread)))
             yield pd.DataFrame(

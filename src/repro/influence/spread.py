@@ -69,21 +69,16 @@ def mc_spread_samples_spark(
     seed: int = 0,
 ) -> DataFrame:
     """Distributed cascade fan-out: one row per sample id, simulated in
-    ``mapInPandas`` workers over the (closure-captured) graph arrays.
+    ``mapInPandas`` workers over the (closure-captured) graph.
     Returns (sample_id, activated)."""
     seeds = [int(s) for s in seeds]
-    g_args = (
-        graph.n, graph.Z, graph.e_src, graph.e_dst, graph.probs,
-        graph.out_ptr, graph.out_eid, graph.in_ptr, graph.in_eid,
-    )
     p_eff = np.asarray(p_eff, dtype=np.float64)
 
     def run(batches):
-        g = LocalGraph(*g_args)
         for pdf in batches:
             ids = pdf["id"].to_numpy()
             out = [
-                len(simulate_cascade(g, p_eff, seeds, _sample_rng(seed, int(i))))
+                len(simulate_cascade(graph, p_eff, seeds, _sample_rng(seed, int(i))))
                 for i in ids
             ]
             yield pd.DataFrame({"sample_id": ids, "activated": out})

@@ -1,5 +1,6 @@
 """Bound families: validity (dominate exact MIA spreads for arbitrary
-queries), local↔Spark precompute equality, and the NB dataflow oracle."""
+queries), local↔Spark precompute equality, and DuckDB oracles for the
+precompute (recursive CTE on a DAG) and the NB dataflow."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mia import mia_sigma_single
-from repro.graphlib.builder import effective_edges_pdf
+from repro.graphlib.builder import LocalGraph, effective_edges_pdf
 from repro.influence.bounds import (
     best_upper_bounds,
     lb_bound,
@@ -36,8 +37,40 @@ class TestPrecompute:
     def test_spark_matches_local(self, spark, graph):
         loc = precompute_local(graph, theta=0.05)
         dist = precompute_spark(spark, graph, theta=0.05)
-        assert np.allclose(loc.sigma_max, dist.sigma_max, atol=1e-9)
-        assert (loc.tree_size == dist.tree_size).all()
+        assert np.array_equal(loc.sigma_max, dist.sigma_max)
+        assert np.array_equal(loc.tree_size, dist.tree_size)
+
+    def test_spark_dag_oracle_recursive_cte(self, spark):
+        """On a DAG, σ_max and tree size equal DuckDB's recursive CTE over
+        every θ-surviving path (max probability per root and node)."""
+        g = np.random.default_rng(0)
+        rows = []
+        for s in range(12):
+            for d in range(s + 1, 12):
+                if g.random() < 0.3:
+                    rows.append((s, d, round(float(g.random() * 0.9 + 0.05), 3)))
+        pdf = pd.DataFrame(rows, columns=["src", "dst", "p"])
+        graph = LocalGraph.from_edges(pdf["src"], pdf["dst"], pdf["p"], n=12)
+        pre = precompute_spark(spark, graph, theta=0.001)
+        got = spark.createDataFrame(pd.DataFrame({
+            "root": np.arange(12), "sigma": pre.sigma_max, "tree_size": pre.tree_size,
+        }))
+        assert_equivalent(
+            got,
+            """
+            WITH RECURSIVE walk(root, node, prob) AS (
+                SELECT range, range, CAST(1.0 AS DOUBLE) FROM range(12)
+                UNION ALL
+                SELECT w.root, e.dst, w.prob * e.p
+                FROM walk w JOIN edges e ON w.node = e.src
+                WHERE w.prob * e.p >= 0.001
+            ),
+            best AS (SELECT root, node, max(prob) AS prob FROM walk GROUP BY root, node)
+            SELECT root, sum(prob) AS sigma, count(*) AS tree_size
+            FROM best GROUP BY root ORDER BY root
+            """,
+            edges=pdf,
+        )
 
 
 @pytest.mark.parametrize("qseed", [0, 1, 2, 3])

@@ -107,7 +107,7 @@ class TestSpreadAlgebra:
         g = random_local_graph(7, n=20, Z=1)
         p = g.probs[:, 0]
         seeds = [0, 3]
-        ap = _ap_map(g, p, seeds, 0.01)
+        ap = _ap_map(mioa(g, p, s, 0.01) for s in seeds)
         for u in (5, 9, 12):
             marg = mia_marginal(g, p, u, ap, 0.01)
             diff = mia_sigma(g, p, seeds + [u], 0.01) - mia_sigma(g, p, seeds, 0.01)
@@ -115,7 +115,7 @@ class TestSpreadAlgebra:
 
     def test_ap_map_bounds(self):
         g = random_local_graph(2, n=20, Z=1)
-        ap = _ap_map(g, g.probs[:, 0], [0, 1, 2], 0.01)
+        ap = _ap_map(mioa(g, g.probs[:, 0], s, 0.01) for s in (0, 1, 2))
         assert all(0.0 <= v <= 1.0 + 1e-12 for v in ap.values())
 
     def test_sigma_monotone_in_seeds(self):

@@ -1,34 +1,8 @@
-"""Generator tests: TPC-H-lite tables and the social-network substrate."""
+"""Generator tests: the synthetic social-network substrate and action logs."""
 import numpy as np
 import pandas as pd
-import pytest
 
 from repro import synth_data as sd
-
-
-class TestTpchLite:
-    def test_lineitem_rows(self, spark):
-        df = sd.lineitem(spark, sf=0.001)
-        assert df.count() == int(6_000_000 * 0.001)
-
-    def test_orders_keys_unique(self, spark):
-        pdf = sd.orders(spark, sf=0.001).toPandas()
-        assert pdf["o_orderkey"].is_unique
-
-    def test_customer_columns(self, spark):
-        assert "c_mktsegment" in sd.customer(spark, sf=0.001).columns
-
-    def test_part_columns(self, spark):
-        assert "p_brand" in sd.part(spark, sf=0.001).columns
-
-    def test_zipf_skew(self, spark):
-        pdf = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=1.3).toPandas()
-        counts = pdf["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-    def test_uniform_keys_range(self, spark):
-        pdf = sd.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-        assert pdf["k"].between(1, 50).all()
 
 
 class TestSocialNetwork:
